@@ -5,6 +5,12 @@ use avmon_churn::{overnet_like, stat, synthetic, SynthParams};
 use avmon_sim::{
     Corruption, InvariantConfig, InvariantViolation, LinkFaults, Scenario, SimOptions, Simulation,
 };
+use avmon_tests::report_digest;
+
+// Golden report digests (see README "Golden digests") for the two
+// scenario families pinned here; `tests/equivalence.rs` pins the rest.
+const GOLDEN_LOSSY_PARTITION: &str = "6593dae4b7dbca23902f97449a406bdf";
+const GOLDEN_ADVERSARIES_FREEZE: &str = "f54b260274683c46b680b3009e9d54cc";
 
 #[test]
 fn same_seed_same_everything() {
@@ -174,6 +180,11 @@ fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
         "optimized same-seed runs must serialize byte-identically"
     );
     assert!(a.len() > 100, "the report actually carries data");
+    assert_eq!(
+        report_digest(&a),
+        GOLDEN_LOSSY_PARTITION,
+        "the lossy-partition report moved off its pinned golden"
+    );
 }
 
 /// The full adversary alphabet — an eclipse campaign, a state corruption,
@@ -288,6 +299,11 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
     assert!(
         ledger.corruption_draws > 0,
         "the corruption event drew nothing"
+    );
+    assert_eq!(
+        report_digest(&sequential_bytes),
+        GOLDEN_ADVERSARIES_FREEZE,
+        "the adversary + freeze report moved off its pinned golden"
     );
     for workers in [2, 8] {
         let report = run(workers);

@@ -28,6 +28,7 @@ use avmon_churn::{stat, synthetic, SynthParams, Trace};
 use avmon_sim::{
     CalendarStats, InvariantConfig, LinkFaults, RngLedger, Scenario, SimOptions, Simulation,
 };
+use avmon_tests::{report_digest, without_memo_policy};
 
 /// Runs `(trace, opts)` to the horizon; returns the serialized report,
 /// the calendar counters and the per-stream RNG draw ledger.
@@ -42,41 +43,18 @@ fn run(trace: Trace, opts: SimOptions) -> (String, CalendarStats, RngLedger) {
     (json, stats, ledger)
 }
 
-/// Drops the `memo_policy` record from a serialized report. The policy
-/// (slots, enabled, reason) is a deliberate record of the run's memo
-/// *configuration*, and this rig compares runs across different memo
-/// configurations — so that one field legitimately differs while
-/// everything observable must stay byte-identical.
-fn without_memo_policy(json: &str) -> String {
-    use serde::Value;
-    fn strip(value: &mut Value) {
-        match value {
-            Value::Map(entries) => {
-                entries.retain(|(key, _)| !matches!(key, Value::Str(s) if s == "memo_policy"));
-                for (_, entry) in entries.iter_mut() {
-                    strip(entry);
-                }
-            }
-            Value::Seq(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let mut value: Value = serde_json::from_str(json).expect("reports parse");
-    assert!(
-        json.contains("\"memo_policy\""),
-        "the report no longer surfaces the memo policy"
-    );
-    strip(&mut value);
-    serde_json::to_string(&value).expect("values serialize")
-}
-
 /// Asserts all optimization combinations serialize identically, and that
 /// the optimized run actually moved work off the heap. On top of the four
 /// `fast_calendar` × `node_memo` switch combinations, the rig re-runs the
 /// fully-optimized configuration under the sharded engine at 2 and 8
-/// workers: the safe-horizon batching must be invisible too. Returns the
+/// workers: the safe-horizon batching must be invisible too. Every run
+/// must also match the scenario's pinned `golden` digest. Returns the
 /// baseline report for scenario-specific assertions.
-fn assert_equivalent(mut make: impl FnMut() -> (Trace, SimOptions), label: &str) -> String {
+fn assert_equivalent(
+    mut make: impl FnMut() -> (Trace, SimOptions),
+    label: &str,
+    golden: &str,
+) -> String {
     let configs: [(&str, bool, Option<usize>, usize); 6] = [
         ("legacy", false, Some(0), 1),
         ("calendar-only", true, Some(0), 1),
@@ -91,6 +69,11 @@ fn assert_equivalent(mut make: impl FnMut() -> (Trace, SimOptions), label: &str)
         let (report, stats, ledger) = run(
             trace,
             opts.fast_calendar(fast).node_memo(memo).workers(workers),
+        );
+        assert_eq!(
+            report_digest(&report),
+            golden,
+            "{label}/{name}: report digest moved off the pinned golden"
         );
         let report = without_memo_policy(&report);
         match &baseline {
@@ -138,6 +121,17 @@ fn assert_equivalent(mut make: impl FnMut() -> (Trace, SimOptions), label: &str)
     baseline.expect("at least one config ran").0
 }
 
+// Golden report digests (see README "Golden digests"), one per scenario
+// family, pinned from the engine all configurations agreed on.
+const GOLDEN_CHURN: &str = "0e14ec614d222db2779e029967118729";
+const GOLDEN_FAULTS: &str = "43a10609df9caa8aa44dec244cbcbd3b";
+const GOLDEN_ATTACKER: &str = "630a06a991aa54e0558e737df8fd591a";
+const GOLDEN_FUZZ: [(u64, &str); 3] = [
+    (5, "ab317830ad83cbde5bb9b6285f76d50b"),
+    (41, "1f4a19cf7fd28e5dd89c6576de5ee723"),
+    (97, "e6de764e948dfcb8fe5c6ae4dc98d6b6"),
+];
+
 /// Fault-free churny baseline: births, deaths, rejoins.
 #[test]
 fn optimizations_are_invisible_on_churny_trace() {
@@ -148,6 +142,7 @@ fn optimizations_are_invisible_on_churny_trace() {
             (trace, opts)
         },
         "churn",
+        GOLDEN_CHURN,
     );
 }
 
@@ -184,6 +179,7 @@ fn optimizations_are_invisible_under_faults() {
             (trace, opts)
         },
         "faults",
+        GOLDEN_FAULTS,
     );
 }
 
@@ -213,6 +209,7 @@ fn optimizations_are_invisible_with_seeded_attacker() {
             (trace, opts)
         },
         "attacker",
+        GOLDEN_ATTACKER,
     );
     assert!(
         report.contains("GhostTarget"),
@@ -224,7 +221,7 @@ fn optimizations_are_invisible_with_seeded_attacker() {
 /// the full 4-way differential.
 #[test]
 fn optimizations_are_invisible_on_random_scenarios() {
-    for fuzz_seed in [5u64, 41, 97] {
+    for (fuzz_seed, golden) in GOLDEN_FUZZ {
         assert_equivalent(
             || {
                 let trace = synthetic(SynthParams::synth_bd(70).duration(35 * MINUTE).seed(13));
@@ -241,6 +238,7 @@ fn optimizations_are_invisible_on_random_scenarios() {
                 (trace, opts)
             },
             "fuzz",
+            golden,
         );
     }
 }
@@ -276,6 +274,7 @@ fn exact_and_legacy_agreement_sweeps_agree_on_fake_monitor_scenario() {
         run(trace, opts).0
     };
     let exact = make(InvariantConfig::default());
+    assert_eq!(report_digest(&exact), GOLDEN_ATTACKER);
     let legacy = make(InvariantConfig::default().exact_sweep(false));
     assert_eq!(
         exact, legacy,
