@@ -9,16 +9,16 @@
 //!
 //! The engine is a consumer of the shared poll-based driver interface:
 //! after every input it drains the node's output queues directly into its
-//! event calendar ([`Simulation::drain_node`]) — no per-input `Vec` of
-//! actions is ever allocated.
+//! event calendar ([`Simulation::route_outputs`]) — no per-input `Vec` of
+//! actions is ever allocated. Where each event is stored is the
+//! [`crate::calendar`] module's business alone.
 
 // Every hash-collection here carries a per-site `detlint::allow` proving
 // iteration order never leaks; detlint is the precise layer, so the
 // coarser clippy mirror is silenced module-wide.
 #![allow(clippy::disallowed_types)]
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::mpsc;
 
 use avmon::{
@@ -31,6 +31,7 @@ use avmon_hash::fast64::mix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::calendar::{Calendar, CalendarStats, Head, HeadView};
 use crate::invariants::{InvariantChecker, InvariantConfig};
 use crate::metrics::{
     AvailabilityMeasure, DetectionDistribution, DiscoveryLog, EclipseScore, EstimateIndex, FdQos,
@@ -72,22 +73,6 @@ pub struct SimOptions {
     /// [`Simulation::take_app_events`] (off by default: long runs would
     /// accumulate unbounded buffers).
     pub collect_app_events: bool,
-    /// O(1) calendar fast paths (default `true`): constant-delay timers
-    /// (ping expiries and the periodic protocol/monitoring re-arms) ride
-    /// FIFO *timer lanes*, and short-horizon events (message deliveries,
-    /// whose latency is bounded far below the wheel span) ride a hashed
-    /// *timing wheel* with millisecond buckets — leaving the binary-heap
-    /// calendar only construction-time schedules and rare odd-delay
-    /// events. Lanes are valid because those timers are armed in
-    /// nondecreasing deadline order; wheel buckets are valid because
-    /// timestamps are integer milliseconds, so one bucket holds one
-    /// instant and FIFO order *is* sequence order. Expiries of
-    /// already-answered pings are discarded at the lane head without ever
-    /// touching the node. Event *order* is unchanged (heap, lanes and
-    /// wheel merge on the same `(time, seq)` key), so same-seed reports
-    /// are byte-identical with the fast paths on or off;
-    /// `tests/equivalence.rs` holds that equivalence.
-    pub fast_calendar: bool,
     /// Overrides every node's consistency-condition pair-memo size
     /// (`Some(0)` disables memoization, `None` keeps the
     /// [`Node::set_point_memo_slots`] default policy). Purely an evaluation
@@ -124,7 +109,6 @@ impl SimOptions {
             behaviors: Vec::new(),
             track_all_discovery: false,
             collect_app_events: false,
-            fast_calendar: true,
             node_memo: None,
             workers: 1,
         }
@@ -135,14 +119,6 @@ impl SimOptions {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Enables or disables the timer lanes + delivery wheel (see
-    /// [`SimOptions::fast_calendar`]).
-    #[must_use]
-    pub fn fast_calendar(mut self, enabled: bool) -> Self {
-        self.fast_calendar = enabled;
         self
     }
 
@@ -218,8 +194,9 @@ impl SimOptions {
     }
 }
 
+/// Everything that can happen at a calendar instant.
 #[derive(Debug)]
-enum EventKind {
+pub(crate) enum EventKind {
     Churn {
         node: NodeId,
         kind: ChurnEventKind,
@@ -259,156 +236,6 @@ enum EventKind {
     AppWake {
         token: u64,
     },
-}
-
-#[derive(Debug)]
-struct Event {
-    at: TimeMs,
-    seq: u64,
-    kind: EventKind,
-}
-
-/// One constant-delay FIFO timer lane (see [`SimOptions::fast_calendar`]).
-///
-/// Every timer armed with exactly `delay` ahead of the arming instant
-/// lands here; because simulated time never decreases while draining,
-/// entries arrive in nondecreasing `(at, seq)` order and the lane pops
-/// from the front in O(1) — no heap sift. A defensive monotonicity check
-/// at push time falls back to the heap, so the lane is an optimization
-/// that can never reorder events.
-#[derive(Debug)]
-struct TimerLane {
-    delay: avmon::DurMs,
-    queue: std::collections::VecDeque<LaneTimer>,
-}
-
-#[derive(Debug)]
-struct LaneTimer {
-    at: TimeMs,
-    seq: u64,
-    node: NodeId,
-    incarnation: u64,
-    timer: Timer,
-}
-
-/// Where the next event in `(time, seq)` order currently sits.
-#[derive(Debug, Clone, Copy)]
-enum NextEvent {
-    Heap,
-    Lane(usize),
-    Wheel,
-}
-
-/// The hashed timing wheel for short-horizon events (deliveries): one
-/// FIFO bucket per millisecond over a `WHEEL_SPAN`-ms window. Timestamps
-/// are integer milliseconds, every routed delay is strictly below the
-/// span, and pushes carry globally increasing sequence numbers — so a
-/// bucket holds exactly one instant at a time and its FIFO order is
-/// sequence order, making wheel pops bit-compatible with heap pops.
-/// Events at or beyond the span (periodic timers miss the wheel but ride
-/// the lanes; freeze-thaw requeues are rare) fall back to the heap.
-const WHEEL_SPAN: u64 = 1024;
-
-#[derive(Debug)]
-struct DeliveryWheel {
-    buckets: Vec<std::collections::VecDeque<Event>>,
-    len: usize,
-    /// Lower bound on the earliest occupied bucket time (pulled back on
-    /// push, advanced monotonically by scans — amortizes peeks to O(1)).
-    cursor: TimeMs,
-}
-
-impl DeliveryWheel {
-    fn new() -> Self {
-        DeliveryWheel {
-            buckets: (0..WHEEL_SPAN)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            len: 0,
-            cursor: 0,
-        }
-    }
-
-    #[inline]
-    fn accepts(&self, now: TimeMs, at: TimeMs) -> bool {
-        at >= now && at - now < WHEEL_SPAN
-    }
-
-    fn push(&mut self, event: Event) {
-        self.cursor = self.cursor.min(event.at);
-        self.len += 1;
-        self.buckets[(event.at % WHEEL_SPAN) as usize].push_back(event);
-    }
-
-    /// `(at, seq)` of the earliest event, advancing the cursor past empty
-    /// buckets along the way.
-    fn peek(&mut self) -> Option<(TimeMs, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            if let Some(front) = self.buckets[(self.cursor % WHEEL_SPAN) as usize].front() {
-                if front.at == self.cursor {
-                    return Some((front.at, front.seq));
-                }
-            }
-            self.cursor += 1;
-        }
-    }
-
-    fn pop(&mut self) -> Event {
-        let event = self.buckets[(self.cursor % WHEEL_SPAN) as usize]
-            .pop_front()
-            .expect("peek found this bucket occupied");
-        self.len -= 1;
-        event
-    }
-
-    /// The earliest event itself (not just its key) — what batch
-    /// collection classifies on before deciding whether to pop.
-    fn front(&mut self) -> Option<&Event> {
-        self.peek()?;
-        self.buckets[(self.cursor % WHEEL_SPAN) as usize].front()
-    }
-}
-
-/// Event-calendar traffic counters: how many events were popped from the
-/// binary heap vs the O(1) structures (timer lanes, delivery wheel), and
-/// how many lane-popped expiries were discarded dead (ping already
-/// answered) without touching the node. Not part of [`SimReport`] — the
-/// counters differ across equivalent configurations whose reports are
-/// byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CalendarStats {
-    /// Events popped from the binary-heap calendar.
-    pub heap_pops: u64,
-    /// Timers popped from the FIFO lanes (zero with the fast calendar
-    /// disabled).
-    pub lane_pops: u64,
-    /// Deliveries popped from the timing wheel (zero with the fast
-    /// calendar disabled).
-    pub wheel_pops: u64,
-    /// Lane-popped `Expire` timers discarded dead in O(1).
-    pub expire_skips: u64,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest (and, on ties,
-        // first-scheduled) event pops first. Determinism depends on this.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 #[derive(Debug)]
@@ -471,15 +298,32 @@ struct QosAccumulator {
 }
 
 /// One input to a node's handler inside a parallel batch, in that node's
-/// pop order. Lane-origin timers are distinguished so the O(1) dead-expiry
-/// discard (and its `expire_skips` accounting) happens exactly where the
-/// sequential engine does it; heap- and wheel-origin timers are always
-/// delivered (a dead firing is a no-op inside the node).
+/// pop order.
 #[derive(Debug)]
 enum ShardInput {
     Msg { from: NodeId, msg: Message },
-    LaneTimer(Timer),
-    HeapTimer(Timer),
+    Timer(Timer),
+}
+
+/// A node's queued outputs, however they are held: polled live from the
+/// node (sequential drain) or captured by a worker (sharded replay). Both
+/// feed the one output path, [`Simulation::route_outputs`].
+trait NodeOutputs {
+    fn poll_transmit(&mut self) -> Option<Transmit>;
+    fn poll_timer(&mut self) -> Option<(Timer, TimeMs)>;
+    fn poll_event(&mut self) -> Option<AppEvent>;
+}
+
+impl NodeOutputs for Node {
+    fn poll_transmit(&mut self) -> Option<Transmit> {
+        Node::poll_transmit(self)
+    }
+    fn poll_timer(&mut self) -> Option<(Timer, TimeMs)> {
+        Node::poll_timer(self)
+    }
+    fn poll_event(&mut self) -> Option<AppEvent> {
+        Node::poll_event(self)
+    }
 }
 
 /// Everything one batched input made a node produce, drained node-locally
@@ -489,11 +333,23 @@ enum ShardInput {
 /// engine's order.
 #[derive(Debug, Default)]
 struct ItemOutput {
-    transmits: Vec<Transmit>,
-    timers: Vec<(Timer, TimeMs)>,
-    events: Vec<AppEvent>,
-    /// Lane-origin timer discarded dead without touching the handler.
+    transmits: std::vec::IntoIter<Transmit>,
+    timers: std::vec::IntoIter<(Timer, TimeMs)>,
+    events: std::vec::IntoIter<AppEvent>,
+    /// A dead timer discarded without touching the handler.
     expire_skip: bool,
+}
+
+impl NodeOutputs for ItemOutput {
+    fn poll_transmit(&mut self) -> Option<Transmit> {
+        self.transmits.next()
+    }
+    fn poll_timer(&mut self) -> Option<(Timer, TimeMs)> {
+        self.timers.next()
+    }
+    fn poll_event(&mut self) -> Option<AppEvent> {
+        self.events.next()
+    }
 }
 
 /// One node's share of a batch: its protocol state moved out of the
@@ -503,7 +359,6 @@ struct ItemOutput {
 struct ShardJob {
     index: usize,
     node: NodeId,
-    incarnation: u64,
     proto: Node,
     items: Vec<(TimeMs, ShardInput)>,
 }
@@ -513,7 +368,6 @@ struct ShardJob {
 struct ShardDone {
     index: usize,
     node: NodeId,
-    incarnation: u64,
     proto: Node,
     outputs: Vec<ItemOutput>,
 }
@@ -529,44 +383,38 @@ fn run_shard(job: ShardJob) -> ShardDone {
     let ShardJob {
         index,
         node,
-        incarnation,
         mut proto,
         items,
     } = job;
     let mut outputs = Vec::with_capacity(items.len());
     for (at, input) in items {
-        let mut out = ItemOutput::default();
         match input {
             ShardInput::Msg { from, msg } => proto.handle_message(at, from, msg),
-            ShardInput::LaneTimer(timer) => {
-                // Evaluated *here*, after this node's earlier batch inputs
-                // — an earlier pong in the same window may have retired
-                // the request, exactly as in the sequential engine.
-                if proto.timer_live(timer, at) {
-                    proto.handle_timer(at, timer);
-                } else {
-                    out.expire_skip = true;
-                    outputs.push(out);
-                    continue;
-                }
+            // Liveness is evaluated *here*, after this node's earlier
+            // batch inputs — an earlier pong in the same window may have
+            // retired the request, exactly as in the sequential engine.
+            ShardInput::Timer(timer) if !proto.timer_live(timer, at) => {
+                outputs.push(ItemOutput {
+                    expire_skip: true,
+                    ..ItemOutput::default()
+                });
+                continue;
             }
-            ShardInput::HeapTimer(timer) => proto.handle_timer(at, timer),
+            ShardInput::Timer(timer) => proto.handle_timer(at, timer),
         }
-        while let Some(transmit) = proto.poll_transmit() {
-            out.transmits.push(transmit);
-        }
-        while let Some(timer) = proto.poll_timer() {
-            out.timers.push(timer);
-        }
-        while let Some(event) = proto.poll_event() {
-            out.events.push(event);
-        }
-        outputs.push(out);
+        let transmits: Vec<Transmit> = std::iter::from_fn(|| proto.poll_transmit()).collect();
+        let timers: Vec<(Timer, TimeMs)> = std::iter::from_fn(|| proto.poll_timer()).collect();
+        let events: Vec<AppEvent> = std::iter::from_fn(|| proto.poll_event()).collect();
+        outputs.push(ItemOutput {
+            transmits: transmits.into_iter(),
+            timers: timers.into_iter(),
+            events: events.into_iter(),
+            expire_skip: false,
+        });
     }
     ShardDone {
         index,
         node,
-        incarnation,
         proto,
         outputs,
     }
@@ -617,9 +465,8 @@ pub struct Simulation {
     alive: Vec<NodeId>,
     // detlint::allow(banned-collection): per-key O(1) swap-remove positions; never iterated
     alive_index: HashMap<NodeId, usize>,
-    queue: BinaryHeap<Event>,
+    calendar: Calendar,
     now: TimeMs,
-    seq: u64,
     rng: SmallRng,
     // detlint::allow(banned-collection): membership probes only; never iterated
     tracked: HashSet<NodeId>,
@@ -649,17 +496,13 @@ pub struct Simulation {
     /// unfrozen case.
     // detlint::allow(banned-collection): per-key window lookups; never iterated
     freezes: HashMap<NodeId, Vec<(TimeMs, TimeMs)>>,
-    /// FIFO lanes for the constant-delay timers, one per distinct delay
-    /// (ping timeout, protocol period, monitoring period); empty when
-    /// [`SimOptions::fast_calendar`] is off.
-    lanes: Vec<TimerLane>,
-    /// Hashed timing wheel for short-horizon events (idle when
-    /// [`SimOptions::fast_calendar`] is off).
-    wheel: DeliveryWheel,
-    pops: CalendarStats,
     checker: InvariantChecker,
     /// Streaming FD QoS counters (see [`QosAccumulator`]).
     qos: QosAccumulator,
+    /// Suspicion transitions `(down, target)` emitted by the node whose
+    /// outputs are being routed, folded into `qos` once the node borrow
+    /// ends (see [`Simulation::fold_suspicions`]). Reused across inputs.
+    suspicions: Vec<(bool, NodeId)>,
     finished: bool,
     /// Resolved worker-thread count (≥ 1; see [`SimOptions::workers`]).
     workers: usize,
@@ -711,35 +554,23 @@ impl Simulation {
         assert!(!trace.events.is_empty(), "cannot simulate an empty trace");
         opts.validate()?;
         let selector = HashSelector::from_config_with_kind(&opts.config, opts.hasher);
-        let mut queue = BinaryHeap::with_capacity(trace.events.len() * 2);
-        let mut seq = 0u64;
-        for e in &trace.events {
-            queue.push(Event {
-                at: e.at,
-                seq,
-                kind: EventKind::Churn {
+        let mut initial: Vec<(TimeMs, EventKind)> = trace
+            .events
+            .iter()
+            .map(|e| {
+                let kind = EventKind::Churn {
                     node: e.node,
                     kind: e.kind,
-                },
-            });
-            seq += 1;
-        }
+                };
+                (e.at, kind)
+            })
+            .collect();
         // Sampling ticks cover the measurement window; the baseline tick
         // zeroes the counters at its start.
-        queue.push(Event {
-            at: trace.measure_from,
-            seq,
-            kind: EventKind::Baseline,
-        });
-        seq += 1;
+        initial.push((trace.measure_from, EventKind::Baseline));
         let mut t = trace.measure_from + opts.sample_interval;
         while t <= trace.horizon {
-            queue.push(Event {
-                at: t,
-                seq,
-                kind: EventKind::Sample,
-            });
-            seq += 1;
+            initial.push((t, EventKind::Sample));
             t += opts.sample_interval;
         }
         // detlint::allow(banned-collection): membership probes only; never iterated
@@ -772,16 +603,14 @@ impl Simulation {
                     seed: fault_seed,
                 } = e.fault
                 {
-                    queue.push(Event {
-                        at: e.at,
-                        seq,
-                        kind: EventKind::Corrupt {
+                    initial.push((
+                        e.at,
+                        EventKind::Corrupt {
                             node,
                             pattern,
                             seed: fault_seed,
                         },
-                    });
-                    seq += 1;
+                    ));
                 }
             }
             // Attack campaigns compile to paired behavior switches: every
@@ -795,27 +624,23 @@ impl Simulation {
                     duration,
                 } = &e.attack;
                 for &member in coalition {
-                    queue.push(Event {
-                        at: e.at,
-                        seq,
-                        kind: EventKind::SetBehavior {
+                    initial.push((
+                        e.at,
+                        EventKind::SetBehavior {
                             node: member,
                             behavior: Behavior::EclipseCoalition {
                                 coalition: coalition.clone(),
                                 victims: victims.clone(),
                             },
                         },
-                    });
-                    seq += 1;
-                    queue.push(Event {
-                        at: e.at + duration,
-                        seq,
-                        kind: EventKind::SetBehavior {
+                    ));
+                    initial.push((
+                        e.at + duration,
+                        EventKind::SetBehavior {
                             node: member,
                             behavior: behaviors.get(&member).cloned().unwrap_or_default(),
                         },
-                    });
-                    seq += 1;
+                    ));
                 }
             }
         }
@@ -863,24 +688,16 @@ impl Simulation {
             );
         }
         checker.set_memo_policy(memo_policy);
-        let lanes = if opts.fast_calendar {
-            let mut delays = vec![
+        // The constant delays handlers arm timers with — the ping timeout
+        // and the periodic protocol/monitoring re-arms — schedule in O(1).
+        let calendar = Calendar::new(
+            &[
                 opts.config.ping_timeout,
                 opts.config.protocol_period,
                 opts.config.monitoring_period,
-            ];
-            delays.sort_unstable();
-            delays.dedup();
-            delays
-                .into_iter()
-                .map(|delay| TimerLane {
-                    delay,
-                    queue: std::collections::VecDeque::new(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+            ],
+            initial,
+        );
         let workers = match opts.workers {
             0 => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -908,9 +725,8 @@ impl Simulation {
             alive: Vec::new(),
             // detlint::allow(banned-collection): see the field declaration
             alive_index: HashMap::new(),
-            queue,
+            calendar,
             now: 0,
-            seq,
             rng,
             tracked,
             discovery: BTreeMap::new(),
@@ -924,11 +740,9 @@ impl Simulation {
             app_draws: 0,
             net,
             freezes,
-            lanes,
-            wheel: DeliveryWheel::new(),
-            pops: CalendarStats::default(),
             checker,
             qos: QosAccumulator::default(),
+            suspicions: Vec::new(),
             finished: false,
             workers,
             corruption_draws: 0,
@@ -1078,11 +892,11 @@ impl Simulation {
             self.run_window_batches(deadline, stop_on_wake)
         } else {
             let mut paused = false;
-            while let Some((at, _, src)) = self.peek_next() {
-                if at > deadline {
+            while let Some(head) = self.calendar.peek() {
+                if head.at > deadline {
                     break;
                 }
-                self.pop_and_dispatch(src);
+                self.pop_and_dispatch(head);
                 if stop_on_wake && self.wake_pending() {
                     paused = true;
                     break;
@@ -1103,29 +917,12 @@ impl Simulation {
         !self.pending_wakes.is_empty() || !self.app_events.is_empty()
     }
 
-    /// Pops the event `peek_next` found at `src` and dispatches it
-    /// sequentially (the single-step primitive both engine paths share).
-    fn pop_and_dispatch(&mut self, src: NextEvent) {
-        match src {
-            NextEvent::Heap => {
-                let event = self.queue.pop().expect("peeked");
-                self.pops.heap_pops += 1;
-                self.now = event.at;
-                self.dispatch(event.kind);
-            }
-            NextEvent::Lane(i) => {
-                let lane_timer = self.lanes[i].queue.pop_front().expect("peeked");
-                self.pops.lane_pops += 1;
-                self.now = lane_timer.at;
-                self.dispatch_lane_timer(lane_timer);
-            }
-            NextEvent::Wheel => {
-                let event = self.wheel.pop();
-                self.pops.wheel_pops += 1;
-                self.now = event.at;
-                self.dispatch(event.kind);
-            }
-        }
+    /// Pops the calendar `head` and dispatches it sequentially (the
+    /// single-step primitive both engine loops share).
+    fn pop_and_dispatch(&mut self, head: Head) {
+        let (at, kind) = self.calendar.pop(head);
+        self.now = at;
+        self.dispatch(kind);
     }
 
     /// End-of-run bookkeeping, once, when the horizon is reached.
@@ -1159,28 +956,6 @@ impl Simulation {
                     .filter_map(|id| nodes.get(id).and_then(|n| n.proto.as_ref())),
             );
         }
-    }
-
-    /// The `(time, seq)`-least upcoming event across the binary heap,
-    /// every timer lane, and the delivery wheel. Lanes and wheel buckets
-    /// are FIFO in `(time, seq)`, so inspecting each front suffices;
-    /// sequence numbers are globally unique, making the merge a total
-    /// order — the pop sequence is *identical* to the all-heap calendar's.
-    fn peek_next(&mut self) -> Option<(TimeMs, u64, NextEvent)> {
-        let mut best = self.queue.peek().map(|e| (e.at, e.seq, NextEvent::Heap));
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(front) = lane.queue.front() {
-                if best.is_none_or(|(at, seq, _)| (front.at, front.seq) < (at, seq)) {
-                    best = Some((front.at, front.seq, NextEvent::Lane(i)));
-                }
-            }
-        }
-        if let Some((at, seq)) = self.wheel.peek() {
-            if best.is_none_or(|(bat, bseq, _)| (at, seq) < (bat, bseq)) {
-                best = Some((at, seq, NextEvent::Wheel));
-            }
-        }
-        best
     }
 
     /// The parallel engine loop (active when [`SimOptions::workers`] > 1).
@@ -1217,11 +992,11 @@ impl Simulation {
                     }
                 });
             }
-            while let Some((t0, _, _)) = self.peek_next() {
-                if t0 > deadline {
+            while let Some(head) = self.calendar.peek() {
+                if head.at > deadline {
                     break;
                 }
-                let window_end = t0.saturating_add(self.lookahead);
+                let window_end = head.at.saturating_add(self.lookahead);
                 let (order, groups, cut) = self.collect_batch(window_end, deadline);
                 if !groups.is_empty() {
                     self.execute_batch(order, groups, window_end, &job_txs, &res_rx);
@@ -1230,9 +1005,9 @@ impl Simulation {
                     // The cut event is still the calendar head: everything
                     // scheduled by the batch lands at or beyond the window
                     // end, or at the same instant with a larger sequence.
-                    if let Some((at, _, src)) = self.peek_next() {
-                        if at <= deadline {
-                            self.pop_and_dispatch(src);
+                    if let Some(head) = self.calendar.peek() {
+                        if head.at <= deadline {
+                            self.pop_and_dispatch(head);
                             // Wakes and subscribed-node events only ever
                             // arise from cut dispatches (they classify as
                             // Cut), so this is the only pause check the
@@ -1265,11 +1040,12 @@ impl Simulation {
         // detlint::allow(banned-collection): per-key job grouping; batch order comes from pop order
         let mut index: HashMap<NodeId, usize> = HashMap::new();
         let mut cut = false;
-        while let Some((at, _, src)) = self.peek_next() {
+        while let Some(head) = self.calendar.peek() {
+            let at = head.at;
             if at >= window_end || at > deadline {
                 break;
             }
-            match self.classify_head(src, at, &index) {
+            match self.classify_head(head, &index) {
                 HeadClass::Cut => {
                     cut = true;
                     break;
@@ -1278,9 +1054,9 @@ impl Simulation {
                 // dispatch path is exact: dead-destination deliveries do
                 // their useless-ping accounting, stale timers fall
                 // through the incarnation check, nothing else happens.
-                HeadClass::Inline => self.pop_and_dispatch(src),
+                HeadClass::Inline => self.pop_and_dispatch(head),
                 HeadClass::Batch => {
-                    let (node, input) = self.pop_batchable(src);
+                    let (node, input) = self.pop_batchable(head);
                     let gi = match index.get(&node) {
                         Some(&gi) => gi,
                         None => {
@@ -1289,7 +1065,6 @@ impl Simulation {
                             groups.push(ShardJob {
                                 index: gi,
                                 node,
-                                incarnation: sim_node.incarnation,
                                 proto: sim_node.proto.take().expect("classified live"),
                                 items: Vec::new(),
                             });
@@ -1310,39 +1085,14 @@ impl Simulation {
     /// out) — they are still live, their liveness just isn't visible in
     /// `self.nodes` right now.
     fn classify_head(
-        &mut self,
-        src: NextEvent,
-        at: TimeMs,
+        &self,
+        head: Head,
         // detlint::allow(banned-collection): probe-only membership parameter
         batched: &HashMap<NodeId, usize>,
     ) -> HeadClass {
-        // Summarize the head by value first: the wheel's front needs
-        // `&mut self`, which must end before the `&self` lookups below.
-        enum HeadView {
-            Shared,
-            Deliver { to: NodeId },
-            Timer { node: NodeId, incarnation: u64 },
-        }
-        let view = |event: &Event| match event.kind {
-            EventKind::Deliver { to, .. } => HeadView::Deliver { to },
-            EventKind::Timer {
-                node, incarnation, ..
-            } => HeadView::Timer { node, incarnation },
-            _ => HeadView::Shared,
-        };
-        let head = match src {
-            NextEvent::Heap => view(self.queue.peek().expect("peeked")),
-            NextEvent::Lane(i) => {
-                let front = self.lanes[i].queue.front().expect("peeked");
-                HeadView::Timer {
-                    node: front.node,
-                    incarnation: front.incarnation,
-                }
-            }
-            NextEvent::Wheel => view(self.wheel.front().expect("peeked")),
-        };
-        match head {
-            HeadView::Shared => HeadClass::Cut,
+        let at = head.at;
+        match self.calendar.view(head) {
+            HeadView::Other => HeadClass::Cut,
             HeadView::Deliver { to } => {
                 if self.frozen_at(to, at).is_some() || self.app_subscribed.contains(&to) {
                     // Frozen destinations requeue at pop time with a fresh
@@ -1376,33 +1126,13 @@ impl Simulation {
     }
 
     /// Pops a batch-classified head and converts it to a shard input.
-    fn pop_batchable(&mut self, src: NextEvent) -> (NodeId, ShardInput) {
-        fn input_of(kind: EventKind) -> (NodeId, ShardInput) {
-            match kind {
-                EventKind::Deliver { from, to, msg } => (to, ShardInput::Msg { from, msg }),
-                EventKind::Timer { node, timer, .. } => (node, ShardInput::HeapTimer(timer)),
-                other => unreachable!("unbatchable event classified as batch: {other:?}"),
-            }
-        }
-        match src {
-            NextEvent::Heap => {
-                let event = self.queue.pop().expect("peeked");
-                self.pops.heap_pops += 1;
-                self.now = event.at;
-                input_of(event.kind)
-            }
-            NextEvent::Lane(i) => {
-                let lane_timer = self.lanes[i].queue.pop_front().expect("peeked");
-                self.pops.lane_pops += 1;
-                self.now = lane_timer.at;
-                (lane_timer.node, ShardInput::LaneTimer(lane_timer.timer))
-            }
-            NextEvent::Wheel => {
-                let event = self.wheel.pop();
-                self.pops.wheel_pops += 1;
-                self.now = event.at;
-                input_of(event.kind)
-            }
+    fn pop_batchable(&mut self, head: Head) -> (NodeId, ShardInput) {
+        let (at, kind) = self.calendar.pop(head);
+        self.now = at;
+        match kind {
+            EventKind::Deliver { from, to, msg } => (to, ShardInput::Msg { from, msg }),
+            EventKind::Timer { node, timer, .. } => (node, ShardInput::Timer(timer)),
+            other => unreachable!("unbatchable event classified as batch: {other:?}"),
         }
     }
 
@@ -1447,14 +1177,12 @@ impl Simulation {
         }
         // Bring every node home before replaying: replay routes messages
         // and folds metrics but never touches protocol state.
-        let mut meta: Vec<(NodeId, u64)> = Vec::with_capacity(n_groups);
+        let mut homes: Vec<NodeId> = Vec::with_capacity(n_groups);
         let mut outputs: Vec<std::vec::IntoIter<ItemOutput>> = Vec::with_capacity(n_groups);
         for slot in slots {
             let done = slot.expect("every group completes");
-            let sim_node = self.nodes.get_mut(&done.node).expect("known node");
-            debug_assert_eq!(sim_node.incarnation, done.incarnation);
-            sim_node.proto = Some(done.proto);
-            meta.push((done.node, done.incarnation));
+            self.nodes.get_mut(&done.node).expect("known node").proto = Some(done.proto);
+            homes.push(done.node);
             outputs.push(done.outputs.into_iter());
         }
         // With a window wider than one instant, nothing a handler did may
@@ -1463,226 +1191,20 @@ impl Simulation {
         // correctly.
         let barrier = if self.lookahead > 1 { window_end } else { 0 };
         for (gi, at) in order {
-            let out = outputs[gi].next().expect("one output per item");
+            let mut out = outputs[gi].next().expect("one output per item");
             self.now = at;
             if out.expire_skip {
-                self.pops.expire_skips += 1;
+                self.calendar.note_expire_skip();
                 continue;
             }
-            let (node, incarnation) = meta[gi];
-            self.replay_output(node, incarnation, out, barrier);
+            self.route_outputs(homes[gi], Some(&mut out), barrier);
         }
-    }
-
-    /// Phase 2 for one batched input: routes its transmits, schedules its
-    /// timers, and folds its app events — a line-for-line mirror of
-    /// [`Simulation::drain_node`]'s post-handler logic, operating on the
-    /// captured outputs instead of polling the node. `tests/equivalence.rs`
-    /// holds the two paths byte-identical.
-    fn replay_output(&mut self, id: NodeId, incarnation: u64, out: ItemOutput, barrier: TimeMs) {
-        let Simulation {
-            nodes,
-            alive,
-            alive_index,
-            queue,
-            lanes,
-            wheel,
-            now,
-            seq,
-            rng,
-            opts,
-            net,
-            discovery,
-            app_events,
-            app_subscribed,
-            trace,
-            qos,
-            ..
-        } = self;
-        let now = *now;
-        let fast = opts.fast_calendar;
-        let push_event =
-            |queue: &mut BinaryHeap<Event>, wheel: &mut DeliveryWheel, event: Event| {
-                debug_assert!(
-                    event.at >= barrier,
-                    "phase-2 output scheduled inside the safe-horizon window"
-                );
-                if fast && wheel.accepts(now, event.at) {
-                    wheel.push(event);
-                } else {
-                    queue.push(event);
-                }
-            };
-        let route_to = |queue: &mut BinaryHeap<Event>,
-                        wheel: &mut DeliveryWheel,
-                        rng: &mut SmallRng,
-                        seq: &mut u64,
-                        to: NodeId,
-                        msg: Message| {
-            match net.route(rng, now, id, to) {
-                Route::Drop => {}
-                Route::Deliver {
-                    delay,
-                    duplicate_delay,
-                } => {
-                    if let Some(dup) = duplicate_delay {
-                        push_event(
-                            queue,
-                            wheel,
-                            Event {
-                                at: now + dup,
-                                seq: *seq,
-                                kind: EventKind::Deliver {
-                                    from: id,
-                                    to,
-                                    msg: msg.clone(),
-                                },
-                            },
-                        );
-                        *seq += 1;
-                    }
-                    push_event(
-                        queue,
-                        wheel,
-                        Event {
-                            at: now + delay,
-                            seq: *seq,
-                            kind: EventKind::Deliver { from: id, to, msg },
-                        },
-                    );
-                    *seq += 1;
-                }
-            }
-        };
-        for transmit in out.transmits {
-            match transmit.to {
-                Destination::Node(to) => {
-                    route_to(queue, wheel, rng, seq, to, transmit.msg);
-                }
-                Destination::AllNodes => {
-                    for &to in alive.iter() {
-                        if to == id {
-                            continue;
-                        }
-                        route_to(queue, wheel, rng, seq, to, transmit.msg.clone());
-                    }
-                }
-            }
-        }
-        for (timer, at) in out.timers {
-            let at = at.max(now);
-            debug_assert!(
-                at >= barrier,
-                "phase-2 timer armed inside the safe-horizon window"
-            );
-            let lane = lanes
-                .iter_mut()
-                .find(|lane| now + lane.delay == at)
-                .filter(|lane| lane.queue.back().is_none_or(|back| back.at <= at));
-            match lane {
-                Some(lane) => lane.queue.push_back(LaneTimer {
-                    at,
-                    seq: *seq,
-                    node: id,
-                    incarnation,
-                    timer,
-                }),
-                None => push_event(
-                    queue,
-                    wheel,
-                    Event {
-                        at,
-                        seq: *seq,
-                        kind: EventKind::Timer {
-                            node: id,
-                            incarnation,
-                            timer,
-                        },
-                    },
-                ),
-            }
-            *seq += 1;
-        }
-        let mut suspicions: Vec<(bool, NodeId)> = Vec::new();
-        for event in out.events {
-            match &event {
-                AppEvent::MonitorDiscovered { .. } => {
-                    if let Some(log) = discovery.get_mut(&id) {
-                        log.monitor_times.push(now);
-                    }
-                }
-                AppEvent::TargetUnresponsive { target } => suspicions.push((true, *target)),
-                AppEvent::TargetResponsive { target } => suspicions.push((false, *target)),
-                _ => {}
-            }
-            if opts.collect_app_events || app_subscribed.contains(&id) {
-                app_events.push((now, id, event));
-            }
-        }
-        for (down, target) in suspicions {
-            if down {
-                if alive_index.contains_key(&target) {
-                    if now >= trace.measure_from {
-                        qos.episodes += 1;
-                        qos.open_mistakes.insert((id, target), now);
-                    }
-                } else if now >= trace.measure_from {
-                    if let Some(left) = nodes.get(&target).and_then(|n| n.left_at) {
-                        qos.detection.record(now.saturating_sub(left));
-                    }
-                }
-            } else if let Some(start) = qos.open_mistakes.remove(&(id, target)) {
-                qos.mistake_time += now.saturating_sub(start);
-            }
-        }
-    }
-
-    /// Dispatches a lane-popped timer: same semantics as a heap
-    /// [`EventKind::Timer`], plus the O(1) dead-expiry discard — a firing
-    /// [`Node::timer_live`] rejects would be a guaranteed no-op inside the
-    /// node, so it is dropped here without the `handle_timer` round-trip.
-    fn dispatch_lane_timer(&mut self, lane_timer: LaneTimer) {
-        let LaneTimer {
-            node,
-            incarnation,
-            timer,
-            ..
-        } = lane_timer;
-        if let Some(thaw) = self.frozen_until(node) {
-            // Frozen: stall on the heap exactly like a heap-popped timer
-            // (the lane's monotonicity no longer holds for a thaw time).
-            self.requeue(
-                thaw,
-                EventKind::Timer {
-                    node,
-                    incarnation,
-                    timer,
-                },
-            );
-            return;
-        }
-        let Some(sim_node) = self.nodes.get_mut(&node) else {
-            return;
-        };
-        if sim_node.incarnation != incarnation {
-            return; // stale timer from a previous incarnation
-        }
-        let now = self.now;
-        let Some(proto) = sim_node.proto.as_mut() else {
-            return;
-        };
-        if !proto.timer_live(timer, now) {
-            self.pops.expire_skips += 1;
-            return;
-        }
-        proto.handle_timer(now, timer);
-        self.drain_node(node);
     }
 
     /// Event-calendar traffic counters for this run so far.
     #[must_use]
     pub fn calendar_stats(&self) -> CalendarStats {
-        self.pops
+        self.calendar.stats()
     }
 
     /// The thaw time if `node` is inside a freeze window at `self.now`.
@@ -1702,12 +1224,7 @@ impl Simulation {
     /// Re-queues `kind` to fire at `at` (used to stall events of frozen
     /// nodes; original relative order is preserved by the fresh `seq`).
     fn requeue(&mut self, at: TimeMs, kind: EventKind) {
-        self.queue.push(Event {
-            at,
-            seq: self.seq,
-            kind,
-        });
-        self.seq += 1;
+        self.calendar.push(self.now, at, kind);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -1738,17 +1255,25 @@ impl Simulation {
                     );
                     return;
                 }
-                let Some(sim_node) = self.nodes.get_mut(&node) else {
+                let now = self.now;
+                let Some(proto) = self
+                    .nodes
+                    .get_mut(&node)
+                    // A stale timer from a previous incarnation is dropped.
+                    .filter(|n| n.incarnation == incarnation)
+                    .and_then(|n| n.proto.as_mut())
+                else {
                     return;
                 };
-                if sim_node.incarnation != incarnation {
-                    return; // stale timer from a previous incarnation
+                // A firing `Node::timer_live` rejects (an already-answered
+                // ping's expiry) is a guaranteed no-op inside the node:
+                // discard it without the handler round-trip.
+                if !proto.timer_live(timer, now) {
+                    self.calendar.note_expire_skip();
+                    return;
                 }
-                let now = self.now;
-                if let Some(proto) = sim_node.proto.as_mut() {
-                    proto.handle_timer(now, timer);
-                    self.drain_node(node);
-                }
+                proto.handle_timer(now, timer);
+                self.drain_node(node);
             }
             EventKind::Baseline => {
                 for &id in &self.alive {
@@ -2048,156 +1573,85 @@ impl Simulation {
         );
     }
 
-    /// Drains `node`'s queued outputs straight into the event calendar —
-    /// the simulator's instantiation of the shared drain loop. Split
-    /// borrows keep this allocation-free: transmits become `Deliver`
-    /// events (latency-sampled), timers become incarnation-stamped `Timer`
-    /// events, and app events feed the discovery log / event buffer.
+    /// Drains live `node`'s queued outputs straight into the event
+    /// calendar (see [`Simulation::route_outputs`]).
     fn drain_node(&mut self, id: NodeId) {
+        self.route_outputs(id, None, 0);
+    }
+
+    /// The one output path of the engine: routes node `id`'s outputs —
+    /// polled from the live node, or `captured` by a worker for sharded
+    /// replay — into the calendar and the metric folds. Transmits become
+    /// `Deliver` events (network-routed: lost, delayed, or duplicated),
+    /// timers become incarnation-stamped timer events, and app events
+    /// feed the discovery log, the event buffer and the QoS suspicion
+    /// folds. Split borrows keep it allocation-free. Nothing may be
+    /// scheduled before `barrier` (the sharded window end, else 0).
+    fn route_outputs(&mut self, id: NodeId, captured: Option<&mut ItemOutput>, barrier: TimeMs) {
         let Simulation {
             nodes,
             alive,
-            alive_index,
-            queue,
-            lanes,
-            wheel,
+            calendar,
             now,
-            seq,
             rng,
             opts,
             net,
-            tracked: _,
             discovery,
             app_events,
             app_subscribed,
-            trace,
-            qos,
+            suspicions,
             ..
         } = self;
         let Some(sim_node) = nodes.get_mut(&id) else {
             return;
         };
         let incarnation = sim_node.incarnation;
-        let Some(proto) = sim_node.proto.as_mut() else {
-            return;
+        let outputs: &mut dyn NodeOutputs = match captured {
+            Some(out) => out,
+            None => match sim_node.proto.as_mut() {
+                Some(proto) => proto,
+                None => return,
+            },
         };
         let now = *now;
-
-        // Fast-calendar routing: short-horizon events land in the wheel,
-        // everything else in the heap. Sequence numbers are assigned in
-        // the same order either way, so pop order is container-agnostic.
-        let fast = opts.fast_calendar;
-        let push_event =
-            |queue: &mut BinaryHeap<Event>, wheel: &mut DeliveryWheel, event: Event| {
-                if fast && wheel.accepts(now, event.at) {
-                    wheel.push(event);
-                } else {
-                    queue.push(event);
-                }
-            };
 
         // Routes one unicast through the network model: lost, delivered,
         // or delivered twice (duplication), each copy independently
         // delayed. Takes the message by value so the fault-free unicast
-        // path stays clone-free, exactly like the pre-fault engine.
-        let route_to = |queue: &mut BinaryHeap<Event>,
-                        wheel: &mut DeliveryWheel,
-                        rng: &mut SmallRng,
-                        seq: &mut u64,
-                        to: NodeId,
-                        msg: Message| {
-            match net.route(rng, now, id, to) {
-                Route::Drop => {}
-                Route::Deliver {
-                    delay,
-                    duplicate_delay,
-                } => {
-                    if let Some(dup) = duplicate_delay {
-                        push_event(
-                            queue,
-                            wheel,
-                            Event {
-                                at: now + dup,
-                                seq: *seq,
-                                kind: EventKind::Deliver {
-                                    from: id,
-                                    to,
-                                    msg: msg.clone(),
-                                },
-                            },
-                        );
-                        *seq += 1;
-                    }
-                    push_event(
-                        queue,
-                        wheel,
-                        Event {
-                            at: now + delay,
-                            seq: *seq,
-                            kind: EventKind::Deliver { from: id, to, msg },
-                        },
-                    );
-                    *seq += 1;
+        // path stays clone-free.
+        let mut route = |to: NodeId, msg: Message| match net.route(rng, now, id, to) {
+            Route::Drop => {}
+            Route::Deliver {
+                delay,
+                duplicate_delay,
+            } => {
+                debug_assert!(now + delay >= barrier, "delivery inside the window");
+                if let Some(dup) = duplicate_delay {
+                    debug_assert!(now + dup >= barrier, "delivery inside the window");
+                    let msg = msg.clone();
+                    calendar.push(now, now + dup, EventKind::Deliver { from: id, to, msg });
                 }
+                calendar.push(now, now + delay, EventKind::Deliver { from: id, to, msg });
             }
         };
-
-        while let Some(transmit) = proto.poll_transmit() {
+        while let Some(transmit) = outputs.poll_transmit() {
             match transmit.to {
-                Destination::Node(to) => {
-                    route_to(queue, wheel, rng, seq, to, transmit.msg);
-                }
+                Destination::Node(to) => route(to, transmit.msg),
                 Destination::AllNodes => {
                     for &to in alive.iter() {
-                        if to == id {
-                            continue;
+                        if to != id {
+                            route(to, transmit.msg.clone());
                         }
-                        route_to(queue, wheel, rng, seq, to, transmit.msg.clone());
                     }
                 }
             }
         }
-        while let Some((timer, at)) = proto.poll_timer() {
-            let at = at.max(now);
-            // Constant-delay timers ride a FIFO lane; short odd-delay
-            // arms (e.g. the random initial phases under a minute) may
-            // still fit the wheel; everything else (or a push that would
-            // break a lane's monotonicity) takes the heap. The timer
-            // keeps its sequence number either way, so the global pop
-            // order is exactly the all-heap order.
-            let lane = lanes
-                .iter_mut()
-                .find(|lane| now + lane.delay == at)
-                .filter(|lane| lane.queue.back().is_none_or(|back| back.at <= at));
-            match lane {
-                Some(lane) => lane.queue.push_back(LaneTimer {
-                    at,
-                    seq: *seq,
-                    node: id,
-                    incarnation,
-                    timer,
-                }),
-                None => push_event(
-                    queue,
-                    wheel,
-                    Event {
-                        at,
-                        seq: *seq,
-                        kind: EventKind::Timer {
-                            node: id,
-                            incarnation,
-                            timer,
-                        },
-                    },
-                ),
-            }
-            *seq += 1;
+        while let Some((timer, at)) = outputs.poll_timer() {
+            debug_assert!(at.max(now) >= barrier, "timer armed inside the window");
+            calendar.arm_timer(now, at, id, incarnation, timer);
         }
-        // Suspicion transitions are buffered and folded into the QoS
-        // accumulators after the drain loop releases the node borrow (the
-        // wrongful/true classification needs to look up the *target*).
-        let mut suspicions: Vec<(bool, NodeId)> = Vec::new();
-        while let Some(event) = proto.poll_event() {
+        let buffer_events = opts.collect_app_events || app_subscribed.contains(&id);
+        while let Some(event) = outputs.poll_event() {
             match &event {
                 AppEvent::MonitorDiscovered { .. } => {
                     if let Some(log) = discovery.get_mut(&id) {
@@ -2208,19 +1662,37 @@ impl Simulation {
                 AppEvent::TargetResponsive { target } => suspicions.push((false, *target)),
                 _ => {}
             }
-            if opts.collect_app_events || app_subscribed.contains(&id) {
+            if buffer_events {
                 app_events.push((now, id, event));
             }
         }
-        for (down, target) in suspicions {
+        if !self.suspicions.is_empty() {
+            self.fold_suspicions(id);
+        }
+    }
+
+    /// Folds monitor `id`'s buffered suspicion transitions into the QoS
+    /// accumulators. Runs after the node borrow ends: the wrongful/true
+    /// classification needs to look up the *target*.
+    fn fold_suspicions(&mut self, id: NodeId) {
+        let now = self.now;
+        let measuring = now >= self.trace.measure_from;
+        let Simulation {
+            nodes,
+            alive_index,
+            qos,
+            suspicions,
+            ..
+        } = self;
+        for (down, target) in suspicions.drain(..) {
             if down {
                 if alive_index.contains_key(&target) {
                     // Wrongful suspicion: the target is alive right now.
-                    if now >= trace.measure_from {
+                    if measuring {
                         qos.episodes += 1;
                         qos.open_mistakes.insert((id, target), now);
                     }
-                } else if now >= trace.measure_from {
+                } else if measuring {
                     // True detection: latency from the target's departure.
                     // (Ghost targets that never existed have no departure
                     // time and score nowhere.)

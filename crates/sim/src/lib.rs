@@ -92,13 +92,15 @@
 //! distribution, mistake rate and duration, per-window stabilization
 //! verdicts, and eclipse-resistance.
 
+mod calendar;
 pub mod engine;
 pub mod invariants;
 pub mod metrics;
 pub mod network;
 pub mod scenario;
 
-pub use engine::{CalendarStats, SimOptions, Simulation};
+pub use calendar::CalendarStats;
+pub use engine::{SimOptions, Simulation};
 pub use invariants::{
     AdversaryWindow, CheckStrategy, InvariantChecker, InvariantConfig, InvariantMode,
     InvariantSummary, InvariantViolation, RngLedger, WindowOutcome,

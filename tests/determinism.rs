@@ -1,4 +1,12 @@
 //! Reproducibility: a simulation is a pure function of `(trace, options)`.
+//!
+//! Two levels of pinning. Run-to-run: two same-seed runs serialize to
+//! byte-identical reports. Version-to-version: the lossy-partition and
+//! the adversary + freeze families (like every family in
+//! `tests/equivalence.rs`) must reproduce a golden report digest pinned
+//! from an earlier engine (see README "Golden digests"), so a
+//! deterministic behaviour change fails here too and has to be re-pinned
+//! deliberately.
 
 use avmon::{Behavior, Config, NodeId, MINUTE};
 use avmon_churn::{overnet_like, stat, synthetic, SynthParams};
@@ -37,12 +45,10 @@ fn same_seed_same_everything() {
 /// `(trace, options)` produce *serialization-identical* reports — every
 /// counter, series, float estimate and discovery timestamp, byte for byte.
 ///
-/// Scope: this pins run-to-run reproducibility of the current engine, not
-/// equivalence with the pre-redesign engine (which never built in this
-/// environment, so no golden baseline from it exists). A nondeterministic
-/// drain loop — e.g. iterating a hash map while scheduling — fails here; a
-/// deterministic behavior change does not, and is instead covered by the
-/// protocol-level assertions in `tests/discovery.rs` / `tests/theorems.rs`.
+/// Scope: this pins run-to-run reproducibility. A nondeterministic drain
+/// loop — e.g. iterating a hash map while scheduling — fails here; a
+/// deterministic behavior change is caught by the golden digests below
+/// and in `tests/equivalence.rs`.
 #[test]
 fn same_seed_bit_identical_report() {
     let trace = synthetic(
@@ -129,20 +135,17 @@ fn same_seed_bit_identical_report_with_faults() {
     assert_ne!(a, c);
 }
 
-/// PR 5's hot-path optimizations — the node-level pair-point memo and the
-/// FIFO timer lanes with lazy `Expire` discard — explicitly enabled, under
-/// the lossy-partition scenario: two same-seed runs must still serialize
-/// byte-identically.
+/// The node-level pair-point memo explicitly engaged, under the
+/// lossy-partition scenario: two same-seed runs must still serialize
+/// byte-identically, and match the pinned golden.
 ///
-/// Why no fixture re-pin was needed this time (unlike PR 3): both
-/// optimizations leave every RNG stream untouched. The memo is a pure
-/// evaluation cache keyed by identity pairs (a hash point is recalled, not
-/// redrawn — `hash_checks` counts evaluations, so even the counters match),
-/// and the lanes only swap the *container* holding timer events while
-/// preserving the global `(time, seq)` pop order, so message routing
-/// consumes the network RNG in exactly the legacy order. The equivalence
-/// harness (`tests/equivalence.rs`) proves optimized ≡ legacy byte-for-byte;
-/// this test pins that the optimized configuration is itself reproducible.
+/// The memo leaves every RNG stream untouched: it is a pure evaluation
+/// cache keyed by identity pairs (a hash point is recalled, not redrawn —
+/// `hash_checks` counts evaluations, so even the counters match). The
+/// calendar's timer lanes and delivery wheel likewise only choose the
+/// *container* holding an event while preserving the global `(time, seq)`
+/// pop order, so message routing consumes the network RNG in exactly the
+/// all-heap order.
 #[test]
 fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
     let n = 80;
@@ -162,7 +165,6 @@ fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
         let mut opts = SimOptions::new(Config::builder(n).build().unwrap())
             .seed(17)
             .scenario(scenario.clone())
-            .fast_calendar(true)
             // Explicit slot count: the memo engages even where the
             // default large-N policy would switch it off.
             .node_memo(Some(4096));
@@ -278,7 +280,6 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
         let mut opts = SimOptions::new(Config::builder(n).build().unwrap())
             .seed(17)
             .scenario(scenario.clone())
-            .fast_calendar(true)
             .workers(workers);
         opts.network.faults = LinkFaults {
             loss: 0.10,

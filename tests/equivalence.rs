@@ -1,34 +1,31 @@
-//! The differential rig for PR 5's hot-path optimizations: machine-proven
-//! behavioral equivalence, not asserted equivalence.
+//! The equivalence rig: every scenario family runs under each engine
+//! configuration that claims to change nothing about a simulated run, and
+//! each run must reproduce the family's pinned golden report digest.
 //!
-//! Two optimizations claim to change *nothing* about a simulated run:
+//! The configurations are the default engine, the pair-point memo off
+//! (`SimOptions::node_memo(Some(0))` — the memo is a pure-hash evaluation
+//! cache, and memo-off is the size-selected path above 8192 nodes), and
+//! the sharded engine at 2 and 8 workers (`SimOptions::workers` — the
+//! safe-horizon batching must be invisible). A golden digest (see
+//! `avmon_tests::report_digest` and README "Golden digests") covers every
+//! counter, discovery timestamp, float estimate, checker verdict and the
+//! per-stream RNG ledger, so any RNG draw, reordered event or decision
+//! influenced by a configuration fails here. The ledgers are also
+//! compared run against run: a draw-count mismatch names the stream that
+//! moved. Scenarios cover the fault machinery (loss + duplication +
+//! jitter + partitions, freezes) and a protocol-level attacker, not just
+//! the happy path.
 //!
-//! * the node-level pair-point memo behind the Fig. 2 view cross-check
-//!   (`SimOptions::node_memo` — a pure-hash evaluation cache), and
-//! * the fast calendar — FIFO timer lanes, the hashed delivery wheel and
-//!   the lazy `Timer::Expire` discard (`SimOptions::fast_calendar` — a
-//!   scheduling-order-preserving container swap).
-//!
-//! This harness runs the *same* `(trace, scenario, seed)` under every
-//! combination of the two switches and asserts the serialized
-//! [`SimReport`]s are **byte-identical** — every counter, discovery
-//! timestamp, float estimate, violation and warning. Any RNG draw, any
-//! reordered event, any decision influenced by either optimization fails
-//! here with a one-bit diff. Scenarios cover the fault machinery from
-//! PR 2 (loss + duplication + jitter + partitions, freezes) and a
-//! protocol-level attacker, not just the happy path.
-//!
-//! A second rig does the same for the end-of-run agreement sweep: the
-//! hash-inverted candidate index (`InvariantConfig::exact_sweep`) must
-//! reproduce the legacy exhaustive enumeration bit for bit, while the
-//! stride cap stays available as the large-`N` fallback.
+//! A second rig pins the end-of-run agreement sweep: the exact
+//! candidate-index sweep reproduces the attacker golden, and the stride
+//! cap stays available as the large-`N` fallback.
 
 use avmon::{Behavior, Config, NodeId, MINUTE};
 use avmon_churn::{stat, synthetic, SynthParams, Trace};
 use avmon_sim::{
     CalendarStats, InvariantConfig, LinkFaults, RngLedger, Scenario, SimOptions, Simulation,
 };
-use avmon_tests::{report_digest, without_memo_policy};
+use avmon_tests::report_digest;
 
 /// Runs `(trace, opts)` to the horizon; returns the serialized report,
 /// the calendar counters and the per-stream RNG draw ledger.
@@ -43,79 +40,51 @@ fn run(trace: Trace, opts: SimOptions) -> (String, CalendarStats, RngLedger) {
     (json, stats, ledger)
 }
 
-/// Asserts all optimization combinations serialize identically, and that
-/// the optimized run actually moved work off the heap. On top of the four
-/// `fast_calendar` × `node_memo` switch combinations, the rig re-runs the
-/// fully-optimized configuration under the sharded engine at 2 and 8
-/// workers: the safe-horizon batching must be invisible too. Every run
-/// must also match the scenario's pinned `golden` digest. Returns the
-/// baseline report for scenario-specific assertions.
+/// Runs the scenario `make` builds under every equivalent configuration
+/// and asserts each run reproduces the pinned `golden` digest with the
+/// same RNG ledger, and that the calendar's O(1) paths (timer lanes,
+/// delivery wheel, dead-expiry discard) actually carried the run. Returns
+/// the default configuration's report for scenario-specific assertions.
 fn assert_equivalent(
     mut make: impl FnMut() -> (Trace, SimOptions),
     label: &str,
     golden: &str,
 ) -> String {
-    let configs: [(&str, bool, Option<usize>, usize); 6] = [
-        ("legacy", false, Some(0), 1),
-        ("calendar-only", true, Some(0), 1),
-        ("memo-only", false, None, 1),
-        ("both", true, None, 1),
-        ("sharded-2", true, None, 2),
-        ("sharded-8", true, None, 8),
+    let configs: [(&str, Option<usize>, usize); 4] = [
+        ("default", None, 1),
+        ("memo-off", Some(0), 1),
+        ("sharded-2", None, 2),
+        ("sharded-8", None, 8),
     ];
     let mut baseline: Option<(String, RngLedger)> = None;
-    for (name, fast, memo, workers) in configs {
+    for (name, memo, workers) in configs {
         let (trace, opts) = make();
-        let (report, stats, ledger) = run(
-            trace,
-            opts.fast_calendar(fast).node_memo(memo).workers(workers),
-        );
+        let (report, stats, ledger) = run(trace, opts.node_memo(memo).workers(workers));
         assert_eq!(
             report_digest(&report),
             golden,
             "{label}/{name}: report digest moved off the pinned golden"
         );
-        let report = without_memo_policy(&report);
+        assert!(
+            ledger.engine_draws > 0 && ledger.node_draws > 0,
+            "{label}/{name}: the RNG ledger recorded no draws"
+        );
+        assert!(
+            stats.lane_pops > 0 && stats.wheel_pops > 0,
+            "{label}/{name}: the timer lanes or the delivery wheel never popped"
+        );
+        assert!(
+            stats.expire_skips > 0,
+            "{label}/{name}: no ponged-ping expiry was ever discarded in O(1)"
+        );
         match &baseline {
-            None => {
-                assert_eq!(
-                    (stats.lane_pops, stats.wheel_pops),
-                    (0, 0),
-                    "{label}: legacy config used the fast calendar"
-                );
-                assert!(
-                    ledger.engine_draws > 0 && ledger.node_draws > 0,
-                    "{label}: the RNG ledger recorded no draws"
-                );
-                baseline = Some((report, ledger));
-            }
-            Some((base, base_ledger)) => {
-                // Ledger first: a draw-count mismatch names the stream
-                // that moved, which is a far better diagnostic than the
-                // full-report byte diff below.
-                assert_eq!(
-                    base_ledger, &ledger,
-                    "{label}/{name}: per-stream RNG draw counts diverged"
-                );
-                assert_eq!(
-                    base, &report,
-                    "{label}/{name}: optimized report is not byte-identical"
-                );
-            }
-        }
-        if fast {
-            assert!(
-                stats.lane_pops > 0,
-                "{label}/{name}: timer lanes enabled but never popped"
-            );
-            assert!(
-                stats.wheel_pops > 0,
-                "{label}/{name}: delivery wheel enabled but never popped"
-            );
-            assert!(
-                stats.expire_skips > 0,
-                "{label}/{name}: no ponged-ping expiry was ever discarded in O(1)"
-            );
+            None => baseline = Some((report, ledger)),
+            // A draw-count mismatch names the stream that moved — a far
+            // better diagnostic than the digest mismatch above.
+            Some((_, base_ledger)) => assert_eq!(
+                base_ledger, &ledger,
+                "{label}/{name}: per-stream RNG draw counts diverged"
+            ),
         }
     }
     baseline.expect("at least one config ran").0
@@ -218,7 +187,7 @@ fn optimizations_are_invisible_with_seeded_attacker() {
 }
 
 /// Fuzzed fault timelines: three seed-replayable random scenarios through
-/// the full 4-way differential.
+/// every configuration.
 #[test]
 fn optimizations_are_invisible_on_random_scenarios() {
     for (fuzz_seed, golden) in GOLDEN_FUZZ {
@@ -243,14 +212,13 @@ fn optimizations_are_invisible_on_random_scenarios() {
     }
 }
 
-/// The agreement-sweep index (satellite of ROADMAP bottleneck 3): on the
-/// FakeMonitor scenario, the exact hash-inverted candidate sweep must be
-/// byte-identical to the legacy exhaustive enumeration — same violations,
-/// same warnings, same check counts — and the stride-capped fallback must
-/// agree wherever it samples (identical everything except the agreement
-/// portion it deliberately thins).
+/// The agreement sweep on the FakeMonitor scenario: the exact
+/// candidate-index sweep reproduces the attacker golden — same
+/// violations, same warnings, same check counts — and the stride-capped
+/// fallback agrees wherever it samples (identical everything except the
+/// agreement portion it deliberately thins).
 #[test]
-fn exact_and_legacy_agreement_sweeps_agree_on_fake_monitor_scenario() {
+fn exact_agreement_sweep_matches_golden_on_fake_monitor_scenario() {
     let n = 60;
     let config = Config::builder(n).build().unwrap();
     let liar = NodeId::from_index(0);
@@ -274,11 +242,10 @@ fn exact_and_legacy_agreement_sweeps_agree_on_fake_monitor_scenario() {
         run(trace, opts).0
     };
     let exact = make(InvariantConfig::default());
-    assert_eq!(report_digest(&exact), GOLDEN_ATTACKER);
-    let legacy = make(InvariantConfig::default().exact_sweep(false));
     assert_eq!(
-        exact, legacy,
-        "the candidate-index sweep diverged from exhaustive enumeration"
+        report_digest(&exact),
+        GOLDEN_ATTACKER,
+        "the candidate-index sweep moved off the pinned golden"
     );
     // The capped fallback still flags the seeded per-sample corruption
     // (GhostTarget is found at sampling time, not by the agreement sweep).

@@ -7,10 +7,14 @@
 use avmon_sim::SimReport;
 
 /// The golden digest of a serialized [`SimReport`]: hex MD5 of its JSON
-/// with the `memo_policy` record stripped (see [`without_memo_policy`]).
+/// with the `memo_policy` record stripped.
 /// Everything else is covered — every counter, discovery timestamp, float
 /// estimate, checker verdict and the per-stream RNG ledger — so one pinned
 /// digest serves every memo and worker configuration of a scenario.
+///
+/// # Panics
+///
+/// Panics if `json` is not a serialized report.
 #[must_use]
 pub fn report_digest(json: &str) -> String {
     avmon_hash::md5(without_memo_policy(json).as_bytes())
@@ -34,12 +38,7 @@ pub fn digest_of(report: &SimReport) -> String {
 /// *configuration*, and the rigs compare runs across different memo
 /// configurations — so that one field legitimately differs while
 /// everything observable must stay byte-identical.
-///
-/// # Panics
-///
-/// Panics if `json` does not parse or carries no memo policy.
-#[must_use]
-pub fn without_memo_policy(json: &str) -> String {
+fn without_memo_policy(json: &str) -> String {
     use serde::Value;
     fn strip(value: &mut Value) {
         match value {
