@@ -3,21 +3,21 @@
 //! inject churn (kill / restart) as a real deployment would experience.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use avmon::{AppEvent, Behavior, Config, HashSelector, HasherKind, JoinKind, Node, NodeId};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 
 use crate::driver::{Command, NodeDriver, NodeSnapshot, SnapshotBoard};
+use crate::sync::read;
 use crate::transport::{MemoryHub, MemoryTransport, Transport, UdpTransport};
 
 /// Which transport a cluster runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClusterTransport {
-    /// Crossbeam-channel hub (fast, supports loss injection).
+    /// In-memory channel hub (fast, supports loss injection).
     #[default]
     Memory,
     /// Real UDP sockets on 127.0.0.1 with kernel-assigned ports.
@@ -94,7 +94,7 @@ impl ClusterBuilder {
     pub fn spawn(self) -> std::io::Result<Cluster> {
         let selector = HashSelector::from_config_with_kind(&self.config, self.hasher);
         let board: SnapshotBoard = Arc::new(RwLock::new(HashMap::new()));
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
 
         // Build transports first so every node's identity is known up front
         // (UDP ports are kernel-assigned).
@@ -211,7 +211,7 @@ impl Cluster {
         if let Some(state) = restore {
             node.restore_persistent(state);
         }
-        let (cmd_tx, cmd_rx): (Sender<Command>, Receiver<Command>) = unbounded();
+        let (cmd_tx, cmd_rx): (Sender<Command>, Receiver<Command>) = channel();
         let driver = NodeDriver::new(
             node,
             transport,
@@ -244,13 +244,13 @@ impl Cluster {
     /// Latest published snapshot of `id`.
     #[must_use]
     pub fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
-        self.board.read().get(&id).cloned()
+        read(&self.board).get(&id).cloned()
     }
 
     /// Snapshots of every node that has ever published one.
     #[must_use]
     pub fn snapshots(&self) -> HashMap<NodeId, NodeSnapshot> {
-        self.board.read().clone()
+        read(&self.board).clone()
     }
 
     /// Drains application events received so far.
@@ -303,7 +303,7 @@ impl Cluster {
             .down_since
             .remove(&id)
             .map_or(Duration::ZERO, |t| t.elapsed());
-        let restore = self.board.read().get(&id).map(|s| s.persistent.clone());
+        let restore = read(&self.board).get(&id).map(|s| s.persistent.clone());
         let contact = self
             .running
             .keys()
@@ -328,7 +328,7 @@ impl Cluster {
     pub fn wait_for_discovery(&self, min_monitors: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout; // detlint::allow(banned-clock): wall-clock test timeout on a live cluster
         loop {
-            let board = self.board.read();
+            let board = read(&self.board);
             let done = self
                 .running
                 .keys()

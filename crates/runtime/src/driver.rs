@@ -9,14 +9,14 @@
 //! that lives here is what is genuinely specific to this backend: encoding
 //! outgoing messages onto the transport and blocking on its receive path.
 
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use avmon::driver::{apply_command, drain, DriverEnv, TimerQueue};
 use avmon::{bytes::BytesMut, codec, AppEvent, JoinKind, Node, NodeId, TimeMs, Timer, Transmit};
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use parking_lot::RwLock;
 
+use crate::sync::write;
 use crate::transport::Transport;
 
 pub use avmon::driver::{Command, NodeSnapshot};
@@ -177,6 +177,6 @@ impl<T: Transport> NodeDriver<T> {
 
     fn publish(&self) {
         let snapshot = NodeSnapshot::capture(&self.node);
-        self.board.write().insert(self.node.id(), snapshot);
+        write(&self.board).insert(self.node.id(), snapshot);
     }
 }

@@ -4,7 +4,7 @@
 //! the paper's discrete-event evaluation, mapped onto wall-clock time and
 //! real transports:
 //!
-//! * thread-per-node clusters over an in-memory crossbeam hub (with
+//! * thread-per-node clusters over an in-memory channel hub (with
 //!   optional loss injection for failure testing), and
 //! * real UDP sockets on localhost, where a [`avmon::NodeId`] *is* the
 //!   socket address — the paper's `<IP, port>` identity model, literally.
@@ -66,8 +66,8 @@
 //! let config = Config::builder(64).build()?;
 //! let selector = Arc::new(HashSelector::from_config(&config));
 //! let node = Node::new(NodeId::from_index(1), config, selector, 7);
-//! let (_cmd_tx, cmd_rx) = crossbeam::channel::unbounded();
-//! let (event_tx, _event_rx) = crossbeam::channel::unbounded();
+//! let (_cmd_tx, cmd_rx) = std::sync::mpsc::channel();
+//! let (event_tx, _event_rx) = std::sync::mpsc::channel();
 //! let board = SnapshotBoard::default();
 //! let driver = NodeDriver::new(
 //!     node, MyTransport {}, cmd_rx, event_tx, board, Vec::new());
@@ -88,6 +88,7 @@
 
 pub mod cluster;
 pub mod driver;
+mod sync;
 pub mod transport;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterTransport};

@@ -3,7 +3,7 @@
 //! The protocol state machine is transport-agnostic; this module provides
 //! the two transports the runtime drivers use:
 //!
-//! * [`MemoryTransport`] — an in-process hub built on crossbeam channels,
+//! * [`MemoryTransport`] — an in-process hub built on `std` channels,
 //!   with optional probabilistic loss injection (failure testing);
 //! * [`UdpTransport`] — real UDP sockets; a [`NodeId`] *is* a socket
 //!   address, so the wire identity and the protocol identity coincide
@@ -12,14 +12,15 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddrV4, UdpSocket};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use avmon::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::sync::{lock, read, write};
 
 /// A datagram endpoint bound to one node identity.
 pub trait Transport: Send {
@@ -78,8 +79,8 @@ impl MemoryHub {
     /// Panics if `id` is already bound on this hub.
     #[must_use]
     pub fn bind(self: &Arc<Self>, id: NodeId) -> MemoryTransport {
-        let (tx, rx) = unbounded();
-        let previous = self.ports.write().insert(id, tx);
+        let (tx, rx) = channel();
+        let previous = write(&self.ports).insert(id, tx);
         assert!(previous.is_none(), "node {id} already bound on this hub");
         MemoryTransport {
             id,
@@ -90,14 +91,14 @@ impl MemoryHub {
 
     /// Unbinds `id` (subsequent sends to it are dropped).
     pub fn unbind(&self, id: NodeId) {
-        self.ports.write().remove(&id);
+        write(&self.ports).remove(&id);
     }
 
     fn deliver(&self, from: NodeId, to: NodeId, bytes: &[u8]) {
-        if self.loss > 0.0 && self.rng.lock().gen_bool(self.loss) {
+        if self.loss > 0.0 && lock(&self.rng).gen_bool(self.loss) {
             return;
         }
-        if let Some(tx) = self.ports.read().get(&to) {
+        if let Some(tx) = read(&self.ports).get(&to) {
             let _ = tx.send((from, bytes.to_vec()));
         }
     }
