@@ -15,7 +15,12 @@
 //! cargo run --release -p avmon-examples --bin large_scale -- 10000 10 5 # smoke: N=10k,
 //!                                                                       # 10 min warmup,
 //!                                                                       # 5 min measured
+//! cargo run --release -p avmon-examples --bin large_scale -- 10000 10 5 --workers 1
 //! ```
+//!
+//! `--workers <n>` sets the sharded engine's thread count (0, the
+//! default, is one per core) and `--pair-cap <n>` caps the end-of-run
+//! agreement sweep; either may be given without the other.
 
 // Example: measures real elapsed time; outside the determinism boundary.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -71,14 +76,14 @@ fn main() {
     // Checker stays ON (Record, the default incremental strategy). The
     // end-of-run eventual-agreement sweep runs the exact hash-inverted
     // candidate index by default (staged prefix-sharing makes the full
-    // O(N²) condition scan a few seconds even at 50k); pass a 4th arg to
-    // re-enable the stride cap for populations where even that is too
-    // slow (e.g. `… 200000 30 10 20000000`).
+    // O(N²) condition scan a few seconds even at 50k); `--pair-cap`
+    // re-enables the stride cap for populations where even that is too
+    // slow (e.g. `… 200000 30 10 --pair-cap 20000000`).
     let invariants = match pair_cap {
         Some(cap) => InvariantConfig::default().agreement_pair_cap(cap),
         None => InvariantConfig::default(),
     };
-    // 5th arg: worker threads for the sharded engine (0 = one per core;
+    // `--workers`: threads for the sharded engine (0 = one per core;
     // default 0). Reports are byte-identical at any worker count, so this
     // only trades wall-clock for cores.
     let opts = SimOptions::new(config)

@@ -19,16 +19,16 @@ pub fn print_kv(pairs: &[(&str, String)]) {
 /// Parsed command line of the `large_scale` example.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LargeScaleArgs {
-    /// Overlay size `N` (arg 1, default 50 000).
+    /// Overlay size `N` (positional 1, default 50 000).
     pub n: usize,
-    /// Warm-up minutes before measurement (arg 2, default 30).
+    /// Warm-up minutes before measurement (positional 2, default 30).
     pub warmup_min: u64,
-    /// Measured minutes (arg 3, default 10).
+    /// Measured minutes (positional 3, default 10).
     pub duration_min: u64,
-    /// Eventual-agreement pair-scan cap (arg 4, default uncapped).
+    /// Eventual-agreement pair-scan cap (`--pair-cap`, default uncapped).
     pub pair_cap: Option<u64>,
-    /// Worker threads for the sharded engine (arg 5, default 0 = one per
-    /// core).
+    /// Worker threads for the sharded engine (`--workers`, default 0 =
+    /// one per core).
     pub workers: usize,
 }
 
@@ -46,42 +46,63 @@ impl Default for LargeScaleArgs {
 
 /// Usage text printed when `large_scale` rejects its command line.
 pub const LARGE_SCALE_USAGE: &str =
-    "usage: large_scale [N] [WARMUP_MIN] [DURATION_MIN] [PAIR_CAP] [WORKERS]";
+    "usage: large_scale [N] [WARMUP_MIN] [DURATION_MIN] [--pair-cap <n>] [--workers <n>]";
 
-/// Parses the positional arguments of the `large_scale` example.
+/// Parses the command line of the `large_scale` example: up to three
+/// positional arguments, then the named `--pair-cap` and `--workers`
+/// flags in any order.
 ///
 /// Every argument is optional, but a *present* argument must parse: a
-/// malformed value is an error (with usage text), never a silent fall
-/// back to the default — `large_scale 50k` running the 50 000-node
-/// default would burn an hour before anyone noticed the typo.
+/// malformed value, an unknown or repeated flag, or a flag without its
+/// value is an error (with usage text), never a silent fall back to the
+/// default — `large_scale 50k` running the 50 000-node default would burn
+/// an hour before anyone noticed the typo.
 pub fn parse_large_scale_args(
-    args: impl Iterator<Item = String>,
+    mut args: impl Iterator<Item = String>,
 ) -> Result<LargeScaleArgs, String> {
-    fn field<T: std::str::FromStr>(arg: Option<&str>, name: &str) -> Result<Option<T>, String> {
-        match arg {
-            None => Ok(None),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("large_scale: invalid {name} {raw:?}\n{LARGE_SCALE_USAGE}")),
+    fn value<T: std::str::FromStr>(raw: &str, name: &str) -> Result<T, String> {
+        raw.parse()
+            .map_err(|_| format!("large_scale: invalid {name} {raw:?}\n{LARGE_SCALE_USAGE}"))
+    }
+    let usage_error = |message: String| format!("large_scale: {message}\n{LARGE_SCALE_USAGE}");
+    let mut parsed = LargeScaleArgs::default();
+    let mut positional = 0;
+    let mut flags_seen: Vec<String> = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--pair-cap" | "--workers" => {}
+            flag if flag.starts_with("--") => {
+                return Err(usage_error(format!("unknown flag {flag:?}")));
+            }
+            raw => {
+                match positional {
+                    0 => parsed.n = value(raw, "N")?,
+                    1 => parsed.warmup_min = value(raw, "WARMUP_MIN")?,
+                    2 => parsed.duration_min = value(raw, "DURATION_MIN")?,
+                    _ => {
+                        return Err(usage_error(format!(
+                            "expected at most 3 positional arguments, got extra {raw:?}"
+                        )));
+                    }
+                }
+                positional += 1;
+                continue;
+            }
         }
+        if flags_seen.contains(&arg) {
+            return Err(usage_error(format!("{arg} given twice")));
+        }
+        let raw = args
+            .next()
+            .ok_or_else(|| usage_error(format!("{arg} needs a value")))?;
+        if arg == "--pair-cap" {
+            parsed.pair_cap = Some(value(&raw, "PAIR_CAP")?);
+        } else {
+            parsed.workers = value(&raw, "WORKERS")?;
+        }
+        flags_seen.push(arg);
     }
-    let args: Vec<String> = args.collect();
-    if args.len() > 5 {
-        return Err(format!(
-            "large_scale: expected at most 5 arguments, got {}\n{LARGE_SCALE_USAGE}",
-            args.len()
-        ));
-    }
-    let arg = |i: usize| args.get(i).map(String::as_str);
-    let defaults = LargeScaleArgs::default();
-    Ok(LargeScaleArgs {
-        n: field(arg(0), "N")?.unwrap_or(defaults.n),
-        warmup_min: field(arg(1), "WARMUP_MIN")?.unwrap_or(defaults.warmup_min),
-        duration_min: field(arg(2), "DURATION_MIN")?.unwrap_or(defaults.duration_min),
-        pair_cap: field(arg(3), "PAIR_CAP")?,
-        workers: field(arg(4), "WORKERS")?.unwrap_or(defaults.workers),
-    })
+    Ok(parsed)
 }
 
 /// Collects the verified availability of `target` as seen through the
@@ -165,16 +186,48 @@ mod tests {
 
     #[test]
     fn all_args_parse_positionally() {
+        let full = LargeScaleArgs {
+            n: 10_000,
+            warmup_min: 10,
+            duration_min: 5,
+            pair_cap: Some(20_000_000),
+            workers: 4,
+        };
         assert_eq!(
-            parse(&["10000", "10", "5", "20000000", "4"]).unwrap(),
-            LargeScaleArgs {
-                n: 10_000,
-                warmup_min: 10,
-                duration_min: 5,
-                pair_cap: Some(20_000_000),
-                workers: 4,
-            }
+            parse(&[
+                "10000",
+                "10",
+                "5",
+                "--pair-cap",
+                "20000000",
+                "--workers",
+                "4"
+            ])
+            .unwrap(),
+            full
         );
+        // Flags may come in any order, before or between positionals.
+        assert_eq!(
+            parse(&[
+                "--workers",
+                "4",
+                "10000",
+                "10",
+                "--pair-cap",
+                "20000000",
+                "5"
+            ])
+            .unwrap(),
+            full
+        );
+    }
+
+    #[test]
+    fn workers_need_no_pair_cap() {
+        let parsed = parse(&["10000", "10", "5", "--workers", "2"]).unwrap();
+        assert_eq!(parsed.workers, 2);
+        assert_eq!(parsed.pair_cap, None);
+        assert_eq!(parsed.n, 10_000);
     }
 
     #[test]
@@ -192,8 +245,21 @@ mod tests {
             (&["50k"][..], "N"),
             (&["10000", "ten"][..], "WARMUP_MIN"),
             (&["10000", "10", "5.5"][..], "DURATION_MIN"),
-            (&["10000", "10", "5", "-1"][..], "PAIR_CAP"),
-            (&["10000", "10", "5", "1000", "many"][..], "WORKERS"),
+            (&["10000", "10", "5", "--pair-cap", "-1"][..], "PAIR_CAP"),
+            (&["10000", "--workers", "many"][..], "WORKERS"),
+            (
+                &["10000", "--threads", "2"][..],
+                "unknown flag \"--threads\"",
+            ),
+            (
+                &["10000", "10", "5", "--workers"][..],
+                "--workers needs a value",
+            ),
+            (&["--pair-cap"][..], "--pair-cap needs a value"),
+            (
+                &["--workers", "1", "--workers", "2"][..],
+                "--workers given twice",
+            ),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(name), "error {err:?} must name {name}");
@@ -203,8 +269,8 @@ mod tests {
 
     #[test]
     fn excess_args_are_rejected() {
-        let err = parse(&["1", "2", "3", "4", "5", "6"]).unwrap_err();
-        assert!(err.contains("at most 5"));
+        let err = parse(&["1", "2", "3", "4"]).unwrap_err();
+        assert!(err.contains("at most 3"));
         assert!(err.contains("usage:"));
     }
 }
