@@ -1,5 +1,6 @@
 //! The AVMON experiment harness: regenerates every table and figure of the
-//! paper (see DESIGN.md §4 for the experiment index).
+//! paper, plus the extension experiments (see README "Extension
+//! experiments" for the index).
 //!
 //! Usage:
 //!

@@ -1,5 +1,6 @@
 //! Extension / ablation experiments: claims the paper states analytically
-//! (or in prose) that its own evaluation never plots. See DESIGN.md §4.
+//! (or in prose) that its own evaluation never plots. See README
+//! "Extension experiments".
 
 use avmon::{Config, DiscoveryMode, HashSelector, MonitorSelector, NodeId};
 use avmon_churn::{synthetic, ChurnEventKind, SynthParams};

@@ -1,5 +1,6 @@
 //! The experiment registry: one entry per table/figure of the paper plus
-//! the extension experiments (DESIGN.md §4 maps each id to its artifact).
+//! the extension experiments (README "Extension experiments" maps each
+//! id to the claim it measures).
 
 pub mod availability;
 pub mod bandwidth;

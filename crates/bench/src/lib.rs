@@ -7,8 +7,8 @@
 //!    small end-to-end simulations.
 //! 2. **The experiment harness** (`src/bin/experiments.rs`): regenerates
 //!    every table and figure of the paper's evaluation (§5) plus the
-//!    extension experiments of DESIGN.md §4. Each run prints the series
-//!    and writes a CSV under `results/`.
+//!    extension experiments of README "Extension experiments". Each run
+//!    prints the series and writes a CSV under `results/`.
 //!
 //! ```bash
 //! cargo run -p avmon-bench --release --bin experiments -- all --quick

@@ -10,7 +10,7 @@
 //! sequences of per-node birth/join/leave/death events that the
 //! `avmon-sim` discrete-event simulator replays. The measured traces are
 //! synthesized to the paper's published aggregate statistics (see
-//! DESIGN.md §3 for the substitution argument); real traces can be
+//! README "Trace substitution" for the argument); real traces can be
 //! imported through the text format in [`io`].
 //!
 //! ```

@@ -7,8 +7,8 @@
 //! artifact is redistributable here, so these generators synthesize traces
 //! matched to the published aggregate statistics that the experiments
 //! depend on — stable size, churn rate, measurement granularity, birth
-//! volume, and availability level. See DESIGN.md §3 for the substitution
-//! rationale.
+//! volume, and availability level. See README "Trace substitution" for
+//! the substitution rationale.
 
 use avmon::{DurMs, NodeId, TimeMs, HOUR, MINUTE, SECOND};
 use rand::rngs::SmallRng;

@@ -119,7 +119,8 @@ pub struct Config {
     pub monitoring_period: DurMs,
     /// How long to wait for a ping / fetch response before declaring failure.
     pub ping_timeout: DurMs,
-    /// Hop-count cap on JOIN forwarding (see DESIGN.md clarification 1).
+    /// Hop-count cap on JOIN forwarding (see README "Protocol
+    /// clarifications", item 1).
     pub join_hop_limit: u32,
     /// Forgetful-pinging parameters; `None` disables the optimization.
     pub forgetful: Option<ForgetfulConfig>,

@@ -28,8 +28,8 @@ impl core::fmt::Display for Nonce {
 /// bandwidth accounting used in the paper's Figure 19 reproduction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// Fig. 1: `JOIN(origin, weight)`, plus the hop counter of DESIGN.md
-    /// clarification 1.
+    /// Fig. 1: `JOIN(origin, weight)`, plus the hop counter of README
+    /// "Protocol clarifications", item 1.
     Join {
         /// The (re-)joining node.
         origin: NodeId,

@@ -1000,7 +1000,8 @@ impl Node {
         match pending {
             Pending::ViewPing { peer } | Pending::ViewFetch { peer } => {
                 // Fig. 2: "an unresponsive node is removed from the CV". A
-                // fetch timeout is treated identically (DESIGN.md note 2).
+                // fetch timeout is treated identically (README "Protocol
+                // clarifications", item 2).
                 if self.view.remove(peer) {
                     self.stats.view_evictions += 1;
                 }
