@@ -164,7 +164,7 @@ impl DeliveryWheel {
 }
 
 /// Which store holds the calendar head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Slot {
     Heap,
     Lane(usize),
@@ -184,7 +184,7 @@ pub(crate) struct Head {
 
 /// What batch classification needs to know about the head event, without
 /// popping it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) enum HeadView {
     /// A message delivery to `to`.
     Deliver { to: NodeId },

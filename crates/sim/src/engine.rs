@@ -11,7 +11,7 @@
 //! after every input it drains the node's output queues directly into its
 //! event calendar ([`Simulation::route_outputs`]) — no per-input `Vec` of
 //! actions is ever allocated. Where each event is stored is the
-//! [`crate::calendar`] module's business alone.
+//! `calendar` module's business alone.
 
 // Every hash-collection here carries a per-site `detlint::allow` proving
 // iteration order never leaks; detlint is the precise layer, so the
@@ -1650,7 +1650,6 @@ impl Simulation {
             debug_assert!(at.max(now) >= barrier, "timer armed inside the window");
             calendar.arm_timer(now, at, id, incarnation, timer);
         }
-        let buffer_events = opts.collect_app_events || app_subscribed.contains(&id);
         while let Some(event) = outputs.poll_event() {
             match &event {
                 AppEvent::MonitorDiscovered { .. } => {
@@ -1662,7 +1661,7 @@ impl Simulation {
                 AppEvent::TargetResponsive { target } => suspicions.push((false, *target)),
                 _ => {}
             }
-            if buffer_events {
+            if opts.collect_app_events || app_subscribed.contains(&id) {
                 app_events.push((now, id, event));
             }
         }

@@ -60,10 +60,19 @@ fn assert_equivalent(
     for (name, memo, workers) in configs {
         let (trace, opts) = make();
         let (report, stats, ledger) = run(trace, opts.node_memo(memo).workers(workers));
+        // Ledger first: a draw-count mismatch names the stream that
+        // moved, a far better diagnostic than the digest mismatch below.
+        match &baseline {
+            None => baseline = Some((report.clone(), ledger)),
+            Some((_, base_ledger)) => assert_eq!(
+                base_ledger, &ledger,
+                "{label}/{name}: per-stream RNG draw counts diverged"
+            ),
+        }
         assert_eq!(
             report_digest(&report),
             golden,
-            "{label}/{name}: report digest moved off the pinned golden"
+            "{label}/{name}: report digest moved off the pinned golden (ledger {ledger:?})"
         );
         assert!(
             ledger.engine_draws > 0 && ledger.node_draws > 0,
@@ -77,15 +86,6 @@ fn assert_equivalent(
             stats.expire_skips > 0,
             "{label}/{name}: no ponged-ping expiry was ever discarded in O(1)"
         );
-        match &baseline {
-            None => baseline = Some((report, ledger)),
-            // A draw-count mismatch names the stream that moved — a far
-            // better diagnostic than the digest mismatch above.
-            Some((_, base_ledger)) => assert_eq!(
-                base_ledger, &ledger,
-                "{label}/{name}: per-stream RNG draw counts diverged"
-            ),
-        }
     }
     baseline.expect("at least one config ran").0
 }
