@@ -4,13 +4,11 @@
 //! The library half holds what several suites share: the golden report
 //! digest (see README "Golden digests").
 
-use avmon_sim::SimReport;
-
-/// The golden digest of a serialized [`SimReport`]: hex MD5 of its JSON
-/// with the `memo_policy` record stripped.
-/// Everything else is covered — every counter, discovery timestamp, float
-/// estimate, checker verdict and the per-stream RNG ledger — so one pinned
-/// digest serves every memo and worker configuration of a scenario.
+/// The golden digest of a serialized [`avmon_sim::SimReport`]: hex MD5 of
+/// its JSON with the `memo_policy` record stripped. Everything else is
+/// covered — every counter, discovery timestamp, float estimate, checker
+/// verdict and the per-stream RNG ledger — so one pinned digest serves
+/// every memo and worker configuration of a scenario.
 ///
 /// # Panics
 ///
@@ -21,16 +19,6 @@ pub fn report_digest(json: &str) -> String {
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect()
-}
-
-/// [`report_digest`] of an in-memory report.
-///
-/// # Panics
-///
-/// Panics if the report does not serialize.
-#[must_use]
-pub fn digest_of(report: &SimReport) -> String {
-    report_digest(&serde_json::to_string(report).expect("reports serialize"))
 }
 
 /// Drops the `memo_policy` record from a serialized report. The policy
